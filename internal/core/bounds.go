@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -14,66 +16,68 @@ import (
 // the per-query analogue of Theorem 1's batch bound. These are the error
 // bars a progressive UI can draw next to each estimate.
 //
-// The tracking structures cost O(TotalQueryCoefficients) memory and are
-// built lazily on the first call, so runs that never ask for per-query
-// bounds pay nothing.
+// The candidate lists depend only on the plan, which builds them on the
+// first QueryErrorBound call of any run and shares them with every run: 4 B
+// per term plus 4 B per query. A run owns one int32 cursor per query. Plans
+// whose runs never ask for per-query bounds pay nothing.
 
-type queryBound struct {
-	// entries are the master-list entry indices touching this query, sorted
-	// by descending |coefficient|.
-	entries []int32
-	// mags are the matching |coefficient| values.
-	mags []float64
-	// next is the cursor to the first candidate not yet known-retrieved.
-	next int
+// buildBoundIndex groups the CSR positions by query, each group sorted by
+// descending |coefficient|. Position k's magnitude is read back as
+// |coeffs[k]| and its entry recovered by entryOf: one int32 per term.
+func (p *Plan) buildBoundIndex() {
+	p.boundOnce.Do(func() {
+		// Counting sort by query; the reverse fill moves off[qi] to its start.
+		off := make([]int32, p.NumQueries()+1)
+		for _, qi := range p.queryIdx {
+			off[qi]++
+		}
+		for qi := 1; qi < len(off); qi++ {
+			off[qi] += off[qi-1]
+		}
+		pos := make([]int32, len(p.queryIdx))
+		for k := len(p.queryIdx) - 1; k >= 0; k-- {
+			qi := p.queryIdx[k]
+			off[qi]--
+			pos[off[qi]] = int32(k)
+		}
+		for qi := 0; qi+1 < len(off); qi++ {
+			slices.SortFunc(pos[off[qi]:off[qi+1]], func(a, b int32) int {
+				return cmp.Compare(math.Abs(p.coeffs[b]), math.Abs(p.coeffs[a]))
+			})
+		}
+		p.boundOff, p.boundPos = off, pos
+	})
 }
 
-func (r *Run) initBounds() {
-	if r.bounds != nil {
-		return
-	}
-	p := r.plan
-	r.bounds = make([]queryBound, p.NumQueries())
-	for i := range p.keys {
-		lo, hi := p.offsets[i], p.offsets[i+1]
-		for k := lo; k < hi; k++ {
-			b := &r.bounds[p.queryIdx[k]]
-			b.entries = append(b.entries, int32(i))
-			b.mags = append(b.mags, math.Abs(p.coeffs[k]))
-		}
-	}
-	for qi := range r.bounds {
-		b := &r.bounds[qi]
-		idx := make([]int, len(b.entries))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, c int) bool { return b.mags[idx[a]] > b.mags[idx[c]] })
-		se := make([]int32, len(idx))
-		sm := make([]float64, len(idx))
-		for i, j := range idx {
-			se[i] = b.entries[j]
-			sm[i] = b.mags[j]
-		}
-		b.entries, b.mags = se, sm
-	}
+// entryOf returns the master-list entry owning CSR position k: the i with
+// offsets[i] ≤ k < offsets[i+1].
+func (p *Plan) entryOf(k int32) int32 {
+	return int32(sort.Search(len(p.keys), func(i int) bool { return p.offsets[i+1] > k }))
 }
 
 // QueryErrorBound returns the worst-case bound K·max_{ξ∉Ξ}|q̂_i[ξ]| on the
 // current estimate of query i, for databases with coefficient mass
 // K = Σ|Δ̂[ξ]| equal to coefficientMass. It returns 0 once every coefficient
-// of the query has been retrieved (the estimate is exact). The first call
-// builds O(TotalQueryCoefficients) tracking state.
+// of the query has been retrieved (the estimate is exact). The first call on
+// a plan builds its shared bound index; the first call on a run allocates
+// the run's cursors.
 func (r *Run) QueryErrorBound(i int, coefficientMass float64) float64 {
-	r.initBounds()
-	b := &r.bounds[i]
-	for b.next < len(b.entries) && r.entryRetrieved(b.entries[b.next]) {
-		b.next++
+	p := r.plan
+	p.buildBoundIndex()
+	if r.boundNext == nil {
+		r.boundNext = make([]int32, p.NumQueries())
 	}
-	if b.next >= len(b.entries) {
+	// Retrieval is monotone (a skipped entry counts as unretrieved until a
+	// retry recovers it), so the cursor only moves forward.
+	n, hi := p.boundOff[i]+r.boundNext[i], p.boundOff[i+1]
+	for n < hi && r.entryRetrieved(p.entryOf(p.boundPos[n])) {
+		n++
+	}
+	r.boundNext[i] = n - p.boundOff[i]
+	if n >= hi {
 		return 0
 	}
-	return coefficientMass * b.mags[b.next]
+	return coefficientMass * math.Abs(p.coeffs[p.boundPos[n]])
 }
 
 // QueryErrorBounds returns the bound for every query in the batch.

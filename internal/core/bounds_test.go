@@ -106,12 +106,45 @@ func TestQueryErrorBoundLazyInitCostsNothingUntilUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := NewRun(plan, penalty.SSE{}, newSliceStore(make([]float64, 4)))
-	if run.bounds != nil {
-		t.Fatal("bounds built eagerly")
+	store := newSliceStore(make([]float64, 4))
+	run := NewRun(plan, penalty.SSE{}, store)
+	if plan.boundPos != nil || run.boundNext != nil {
+		t.Fatal("bound index built eagerly")
 	}
 	_ = run.QueryErrorBound(0, 1)
-	if run.bounds == nil {
-		t.Fatal("bounds not built on demand")
+	if plan.boundPos == nil || run.boundNext == nil {
+		t.Fatal("bound index not built on demand")
+	}
+	// A later run on the plan reuses the index instead of rebuilding it.
+	built := &plan.boundPos[0]
+	_ = NewRun(plan, penalty.SSE{}, store).QueryErrorBound(0, 1)
+	if &plan.boundPos[0] != built {
+		t.Fatal("bound index rebuilt for a second run")
+	}
+}
+
+// TestQueryErrorBoundsAllocsOnWarmPlan pins the per-run cost of the shared
+// bound index: once a plan's index is built, a fresh run's first
+// QueryErrorBounds allocates only its cursor slice and the output slice on
+// top of NewRun's own allocations, at any plan size.
+func TestQueryErrorBoundsAllocsOnWarmPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(823))
+	for _, size := range []struct{ queries, keys int }{{1, 8}, {4, 64}, {16, 2048}} {
+		plan, err := NewPlan(tinyBatch(rng, size.queries, size.keys), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := newSliceStore(make([]float64, size.keys))
+		NewRun(plan, penalty.SSE{}, store).QueryErrorBounds(1)
+		base := testing.AllocsPerRun(50, func() {
+			_ = NewRun(plan, penalty.SSE{}, store)
+		})
+		got := testing.AllocsPerRun(50, func() {
+			_ = NewRun(plan, penalty.SSE{}, store).QueryErrorBounds(1)
+		})
+		if got-base != 2 {
+			t.Fatalf("%d queries x %d keys: first QueryErrorBounds on a warm plan costs %v allocs, want 2",
+				size.queries, size.keys, got-base)
+		}
 	}
 }

@@ -57,11 +57,12 @@ type Plan struct {
 	evalOnce sync.Once
 	byQuery  [][]qref
 
-	// idxOnce guards entryIdxInt, the []int view of queryIdx handed to
-	// penalty.Penalty.Importance (shares offsets with queryIdx), so the
-	// int32→int conversion is paid once per plan instead of once per run.
-	idxOnce     sync.Once
-	entryIdxInt []int
+	// boundOnce guards the per-query error-bound index (bounds.go): query
+	// qi's CSR positions, sorted by descending |coefficient|, are
+	// boundPos[boundOff[qi]:boundOff[qi+1]]. Every run on the plan shares it.
+	boundOnce sync.Once
+	boundOff  []int32
+	boundPos  []int32
 
 	// bindOnce guards bindPos, the lazily-built (query, key) → flat
 	// coefficient position index that lets Bind re-weight same-shape batches
@@ -186,26 +187,11 @@ func (p *Plan) ForEachEntry(fn func(key int, queryIdx []int32, coeffs []float64)
 	}
 }
 
-// buildEntryIdx lazily materializes queryIdx as []int (the element type
-// penalty.Penalty.Importance takes) in one flat array sharing the CSR
-// offsets, so the int32→int conversion is paid once per plan rather than
-// re-done for every entry of every schedule build.
-func (p *Plan) buildEntryIdx() {
-	p.idxOnce.Do(func() {
-		p.entryIdxInt = make([]int, len(p.queryIdx))
-		for i, qi := range p.queryIdx {
-			p.entryIdxInt[i] = int(qi)
-		}
-	})
-}
-
 // Importances computes ι_p for every master-list entry under the penalty.
 func (p *Plan) Importances(pen penalty.Penalty) []float64 {
-	p.buildEntryIdx()
 	out := make([]float64, len(p.keys))
 	for i := range out {
-		lo, hi := p.offsets[i], p.offsets[i+1]
-		out[i] = pen.Importance(p.entryIdxInt[lo:hi], p.coeffs[lo:hi])
+		out[i] = pen.Importance(p.entryRefs(i))
 	}
 	return out
 }
@@ -244,9 +230,9 @@ type Run struct {
 	// been retrieved. It doubles as the retrieval count.
 	cursor    int
 	estimates []float64
-	// bounds holds the lazily-built per-query error-bound cursors
-	// (bounds.go).
-	bounds []queryBound
+	// boundNext holds the per-query cursors into the plan's bound index,
+	// allocated on the first QueryErrorBound call (bounds.go).
+	boundNext []int32
 	// batchVals is StepBatch's reusable fetch buffer.
 	batchVals []float64
 

@@ -152,7 +152,7 @@ func refPenalties(t *testing.T, s int) []penalty.Penalty {
 // random plans, penalty shapes, and every step count, the schedule-based Run
 // must match the retired heap implementation bit-for-bit — retrieval order,
 // estimates, next/remaining importance, worst-case bound, and per-query
-// error bounds.
+// error bounds, including for a second run sharing the plan's bound index.
 func TestScheduleMatchesHeapGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	const mass = 1.9
@@ -171,8 +171,21 @@ func TestScheduleMatchesHeapGrid(t *testing.T) {
 			}
 		}
 		for _, pen := range refPenalties(t, s) {
+			checkBounds := func(run *Run, ref *heapRefRun, which string, step int) {
+				t.Helper()
+				for qi := 0; qi < plan.NumQueries(); qi++ {
+					got := run.QueryErrorBound(qi, mass)
+					want := ref.queryErrorBound(qi, mass)
+					if got != want {
+						t.Fatalf("trial %d pen %s %s step %d query %d: bound %v vs %v",
+							trial, pen.Name(), which, step, qi, got, want)
+					}
+				}
+			}
 			run := NewRun(plan, pen, newSliceStore(cells))
 			ref := newHeapRefRun(plan, pen, newSliceStore(cells))
+			var run2 *Run
+			var ref2 *heapRefRun
 			for step := 0; ; step++ {
 				if run.Retrieved() != ref.retrieved {
 					t.Fatalf("trial %d pen %s step %d: retrieved %d vs %d",
@@ -187,12 +200,18 @@ func TestScheduleMatchesHeapGrid(t *testing.T) {
 						trial, pen.Name(), step, run.RemainingImportance(), ref.remaining())
 				}
 				assertBitIdentical(t, run.Estimates(), ref.estimates, "grid estimates")
-				for qi := 0; qi < plan.NumQueries(); qi++ {
-					got := run.QueryErrorBound(qi, mass)
-					want := ref.queryErrorBound(qi, mass)
-					if got != want {
-						t.Fatalf("trial %d pen %s step %d query %d: bound %v vs %v",
-							trial, pen.Name(), step, qi, got, want)
+				checkBounds(run, ref, "first run", step)
+				// A second run on the plan, started once the first has built
+				// the shared bound index, trails it by one step; its cursors
+				// must track its own retrieved set.
+				if step == 1 {
+					run2 = NewRun(plan, pen, newSliceStore(cells))
+					ref2 = newHeapRefRun(plan, pen, newSliceStore(cells))
+				}
+				if run2 != nil {
+					checkBounds(run2, ref2, "second run", step)
+					if a, b := run2.Step(), ref2.step(); a != b {
+						t.Fatalf("trial %d pen %s step %d: second run Step %v vs %v", trial, pen.Name(), step, a, b)
 					}
 				}
 				a, b := run.Step(), ref.step()
@@ -205,6 +224,14 @@ func TestScheduleMatchesHeapGrid(t *testing.T) {
 			}
 			if !run.Done() || run.RemainingImportance() != 0 || run.WorstCaseBound(mass) != 0 {
 				t.Fatalf("trial %d pen %s: run not cleanly finished", trial, pen.Name())
+			}
+			for step := 0; run2 != nil; step++ {
+				checkBounds(run2, ref2, "second run drain", step)
+				if a, b := run2.Step(), ref2.step(); a != b {
+					t.Fatalf("trial %d pen %s drain step %d: second run Step %v vs %v", trial, pen.Name(), step, a, b)
+				} else if !a {
+					break
+				}
 			}
 		}
 	}
@@ -295,9 +322,10 @@ func TestScheduleCacheBuildsOnceUnderRace(t *testing.T) {
 }
 
 // TestConcurrentRunsShareSchedule runs many progressive runs sharing one
-// plan (and thus one cached schedule) to completion concurrently; every run
-// must land on the same exact estimates. Under -race this pins down that
-// runs never write to the shared schedule.
+// plan (and thus one cached schedule and bound index) to completion
+// concurrently; every run must land on the same exact estimates. Under
+// -race this pins down that runs never write to the shared schedule or
+// bound index.
 func TestConcurrentRunsShareSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(449))
 	n := 64
@@ -318,6 +346,9 @@ func TestConcurrentRunsShareSchedule(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			run := NewRun(plan, penalty.SSE{}, newSliceStore(cells))
+			// Every run races to build and then reads the plan's shared
+			// bound index.
+			run.QueryErrorBounds(1)
 			if g%2 == 0 {
 				run.RunToCompletion()
 			} else {
@@ -327,6 +358,12 @@ func TestConcurrentRunsShareSchedule(t *testing.T) {
 			for i := range want {
 				if math.Abs(run.Estimates()[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 					errCh <- "estimates diverged"
+					return
+				}
+			}
+			for _, b := range run.QueryErrorBounds(1) {
+				if b != 0 {
+					errCh <- "bound nonzero after completion"
 					return
 				}
 			}

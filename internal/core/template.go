@@ -53,10 +53,11 @@ func (p *Plan) buildBindIndex() {
 // Bind re-weights the template against new per-query coefficient vectors,
 // returning a lightweight plan view that shares this plan's CSR skeleton
 // (keys, offsets, query references) and owns only its coefficient array and
-// labels. The vectors must have exactly the template's sparsity shape: the
-// same number of queries and, per query, the same key set. On any deviation
-// Bind returns ErrShapeMismatch (wrapped) and the caller should build a
-// fresh plan.
+// labels; it builds its own bound index on first use, since that index
+// orders by coefficient magnitude. The vectors must have exactly the
+// template's sparsity shape: the same number of queries and, per query, the
+// same key set. On any deviation Bind returns ErrShapeMismatch (wrapped) and
+// the caller should build a fresh plan.
 //
 // The returned plan is bit-identical to NewPlan(vectors, labels): the same
 // entries in the same order with the same coefficient values, so schedules,
@@ -108,9 +109,6 @@ func (p *Plan) Bind(vectors []sparse.Vector, labels []string) (*Plan, error) {
 		coeffs:                 coeffs,
 		totalQueryCoefficients: p.totalQueryCoefficients,
 	}
-	// The []int view of queryIdx is coefficient-independent; share it too.
-	p.buildEntryIdx()
-	bound.idxOnce.Do(func() { bound.entryIdxInt = p.entryIdxInt })
 	if m := coObs(); m != nil {
 		m.templateBinds.Inc()
 	}

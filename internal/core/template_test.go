@@ -63,6 +63,18 @@ func assertPlansBitIdentical(t *testing.T, got, want *Plan, ctx string) {
 	}
 }
 
+// assertBoundsBitIdentical compares two runs' per-query error bounds by
+// exact float bits.
+func assertBoundsBitIdentical(t *testing.T, got, want *Run, ctx string) {
+	t.Helper()
+	g, w := got.QueryErrorBounds(10), want.QueryErrorBounds(10)
+	for i := range g {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+			t.Fatalf("%s: query %d bound %v, want bit-identical %v", ctx, i, g[i], w[i])
+		}
+	}
+}
+
 // templateStore builds a dense-backed store covering every key of the plans
 // under test with deterministic nonzero-ish values.
 func templateStore(rng *rand.Rand, keySpace int) storage.Store {
@@ -100,6 +112,9 @@ func TestBindBitIdenticalToFreshPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The template's bound index orders v1's magnitudes; a view that
+			// inherited it would report wrong bounds for v2.
+			tmpl.buildBoundIndex()
 			bound, err := tmpl.Bind(v2, nil)
 			if err != nil {
 				t.Fatalf("bind %dx%d: %v", queries, keysPer, err)
@@ -128,6 +143,7 @@ func TestBindBitIdenticalToFreshPlan(t *testing.T) {
 					if math.Float64bits(rb.WorstCaseBound(10)) != math.Float64bits(rf.WorstCaseBound(10)) {
 						t.Fatalf("bounds diverge at step %d", rb.Retrieved())
 					}
+					assertBoundsBitIdentical(t, rb, rf, "per-query bounds")
 				}
 			}
 		}
@@ -162,6 +178,7 @@ func TestBindDegradedRunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tmpl.buildBoundIndex()
 	bound, err := tmpl.Bind(v2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +198,7 @@ func TestBindDegradedRunBitIdentical(t *testing.T) {
 		if (errB == nil) != (errF == nil) {
 			t.Fatalf("fault behavior diverged: %v vs %v", errB, errF)
 		}
+		assertBoundsBitIdentical(t, rb, rf, "degraded per-query bounds")
 	}
 	if !rf.Done() {
 		t.Fatalf("fresh run not done when bound run is")

@@ -462,3 +462,32 @@ func TestRetryStoreStacksOnRemoteStore(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteStoreCancelAfterReturnKeepsPoolHealthy cancels every request's
+// context right after BatchGetCtx returns. With a one-connection pool every
+// request reuses the same connection, so a cancellation that still reached
+// it after its return to the pool would yank the deadline of the next
+// request and fail it with a spurious i/o timeout.
+func TestRemoteStoreCancelAfterReturnKeepsPoolHealthy(t *testing.T) {
+	local := testStore(200, 8)
+	addr, _ := startShard(t, local, codec.ShardMeta{ShardCount: 1})
+	remote := NewRemoteStore(addr, ClientConfig{PoolSize: 1})
+	defer func() { _ = remote.Close() }()
+
+	keys := []int{1, 2, 3}
+	dst := make([]float64, len(keys))
+	failures := 0
+	var last error
+	for i := 0; i < 20000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := remote.BatchGetCtx(ctx, keys, dst)
+		cancel()
+		if err != nil {
+			failures++
+			last = err
+		}
+	}
+	if failures > 0 {
+		t.Fatalf("%d of 20000 requests failed after earlier cancellations; last: %v", failures, last)
+	}
+}

@@ -197,14 +197,9 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 	_ = rc.conn.SetDeadline(deadline)
 	// Mid-flight cancellation: yank the deadline so blocked reads/writes
 	// return immediately.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = rc.conn.SetDeadline(time.Now().Add(-time.Second))
-		case <-watchDone:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		_ = rc.conn.SetDeadline(time.Now().Add(-time.Second))
+	})
 	id := s.reqID.Add(1)
 	frame, err := func() (*codec.WireFrame, error) {
 		if err := write(rc.conn, rc.version, id); err != nil {
@@ -212,7 +207,9 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 		}
 		return codec.ReadFrameVersion(rc.br, rc.version)
 	}()
-	close(watchDone)
+	// A yank that ran (or is running) could hit the connection after its
+	// return to the pool and fail the next request, so close it instead.
+	yanked := !stop()
 	if err != nil {
 		_ = rc.conn.Close()
 		if cerr := ctx.Err(); cerr != nil {
@@ -223,6 +220,10 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 	if frame.ID != id {
 		_ = rc.conn.Close()
 		return nil, &remoteError{addr: s.addr, msg: fmt.Sprintf("response id %d for request %d", frame.ID, id)}
+	}
+	if yanked {
+		_ = rc.conn.Close()
+		return frame, nil
 	}
 	_ = rc.conn.SetDeadline(time.Time{})
 	s.release(rc)

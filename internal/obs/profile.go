@@ -163,12 +163,15 @@ func NewQueryProfile(id, label string) *QueryProfile {
 	}
 }
 
-// SetPlan records how the plan was obtained and what the setup cost.
+// SetPlan records how the plan was obtained and what the build and setup
+// cost. Both ran before the profile existed, so its start moves back over
+// them: the wall time covers every component.
 func (p *QueryProfile) SetPlan(source string, build, setup time.Duration, queries, terms int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	p.snap.Start = p.snap.Start.Add(-build - setup)
 	p.snap.Plan.Source = source
 	p.snap.Plan.BuildNanos = build.Nanoseconds()
 	p.snap.Plan.SetupNanos = setup.Nanoseconds()

@@ -32,7 +32,7 @@ type Penalty interface {
 	// at batch position idxs[k] and zero elsewhere. idxs must be strictly
 	// increasing; vals has equal length. This is ι_p(ξ) when called with the
 	// per-query wavelet coefficients at ξ.
-	Importance(idxs []int, vals []float64) float64
+	Importance(idxs []int32, vals []float64) float64
 	// Homogeneity returns the degree α with p(c·e) = |c|^α·p(e):
 	// 2 for quadratic forms, 1 for norms.
 	Homogeneity() float64
@@ -79,7 +79,7 @@ func (SSE) Eval(e []float64) float64 {
 }
 
 // Importance implements Penalty.
-func (SSE) Importance(_ []int, vals []float64) float64 {
+func (SSE) Importance(_ []int32, vals []float64) float64 {
 	var s float64
 	for _, v := range vals {
 		s += v * v
@@ -160,7 +160,7 @@ func (p *Weighted) Eval(e []float64) float64 {
 }
 
 // Importance implements Penalty.
-func (p *Weighted) Importance(idxs []int, vals []float64) float64 {
+func (p *Weighted) Importance(idxs []int32, vals []float64) float64 {
 	var s float64
 	for k, i := range idxs {
 		s += p.weights[i] * vals[k] * vals[k]
@@ -304,17 +304,17 @@ func (p *Smoothness) Eval(e []float64) float64 {
 // Importance implements Penalty. Only rows touching a nonzero entry can be
 // nonzero, so the cost is proportional to the sparse support's neighborhood,
 // not the batch size.
-func (p *Smoothness) Importance(idxs []int, vals []float64) float64 {
+func (p *Smoothness) Importance(idxs []int32, vals []float64) float64 {
 	if len(idxs) == 0 {
 		return 0
 	}
 	sparse := make(map[int]float64, len(idxs))
 	for k, i := range idxs {
-		sparse[i] = vals[k]
+		sparse[int(i)] = vals[k]
 	}
 	at := func(i int) float64 { return sparse[i] }
 	rows := make(map[int]struct{}, 4*len(idxs))
-	for _, i := range idxs {
+	for i := range sparse {
 		rows[i] = struct{}{}
 		for _, j := range p.neighbors[i] {
 			rows[j] = struct{}{}
@@ -435,7 +435,7 @@ func (n *LpNorm) Name() string {
 func (n *LpNorm) Eval(e []float64) float64 { return n.norm(e) }
 
 // Importance implements Penalty: the norm of a sparse vector ignores zeros.
-func (n *LpNorm) Importance(_ []int, vals []float64) float64 { return n.norm(vals) }
+func (n *LpNorm) Importance(_ []int32, vals []float64) float64 { return n.norm(vals) }
 
 func (n *LpNorm) norm(vals []float64) float64 {
 	if math.IsInf(n.p, 1) {
@@ -529,7 +529,7 @@ func (q *QuadraticForm) Eval(e []float64) float64 {
 
 // Importance implements Penalty, exploiting sparsity on both sides of the
 // form.
-func (q *QuadraticForm) Importance(idxs []int, vals []float64) float64 {
+func (q *QuadraticForm) Importance(idxs []int32, vals []float64) float64 {
 	var s float64
 	for a, ia := range idxs {
 		for b, ib := range idxs {
@@ -596,7 +596,7 @@ func (c *Combo) Eval(e []float64) float64 {
 }
 
 // Importance implements Penalty.
-func (c *Combo) Importance(idxs []int, vals []float64) float64 {
+func (c *Combo) Importance(idxs []int32, vals []float64) float64 {
 	var s float64
 	for i, p := range c.parts {
 		s += c.weights[i] * p.Importance(idxs, vals)

@@ -8,12 +8,12 @@ import (
 )
 
 // sparseOf converts a dense vector to the (idxs, vals) form Importance takes.
-func sparseOf(e []float64) ([]int, []float64) {
-	var idxs []int
+func sparseOf(e []float64) ([]int32, []float64) {
+	var idxs []int32
 	var vals []float64
 	for i, v := range e {
 		if v != 0 {
-			idxs = append(idxs, i)
+			idxs = append(idxs, int32(i))
 			vals = append(vals, v)
 		}
 	}
@@ -445,7 +445,7 @@ func TestQuickPenaltyRelations(t *testing.T) {
 }
 
 func BenchmarkSSEImportance(b *testing.B) {
-	idxs := []int{3, 17, 200}
+	idxs := []int32{3, 17, 200}
 	vals := []float64{0.5, -1.2, 3.3}
 	p := SSE{}
 	for i := 0; i < b.N; i++ {
@@ -458,7 +458,7 @@ func BenchmarkLaplacianImportance(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idxs := []int{3, 17, 200}
+	idxs := []int32{3, 17, 200}
 	vals := []float64{0.5, -1.2, 3.3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,7 +41,7 @@ func BatchGet(s Store, keys []int, dst []float64) {
 
 // GetBatch implements BatchGetter with one counter update for the batch.
 func (s *ArrayStore) GetBatch(keys []int, dst []float64) {
-	s.retrievals += int64(len(keys))
+	s.retrievals.Add(int64(len(keys)))
 	for i, k := range keys {
 		if k < 0 || k >= len(s.cells) {
 			panic(batchRangeError(k, len(s.cells)))
@@ -52,7 +52,7 @@ func (s *ArrayStore) GetBatch(keys []int, dst []float64) {
 
 // GetBatch implements BatchGetter.
 func (s *HashStore) GetBatch(keys []int, dst []float64) {
-	s.retrievals += int64(len(keys))
+	s.retrievals.Add(int64(len(keys)))
 	for i, k := range keys {
 		dst[i] = s.cells[k]
 	}

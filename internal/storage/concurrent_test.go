@@ -10,10 +10,34 @@ func TestConcurrentStoreParallelGets(t *testing.T) {
 	for i := range cells {
 		cells[i] = float64(i)
 	}
-	cs := NewConcurrentStore(NewArrayStore(cells))
+	arr := NewArrayStore(cells)
+	cs := NewConcurrentStore(arr)
 	var wg sync.WaitGroup
 	const workers = 8
 	const reads = 500
+	// Two batch readers hit the unwrapped store directly, as a shard server
+	// serves a read-only partition, alongside the locked readers.
+	const batchers, batches, batchLen = 2, 50, 16
+	for b := 0; b < batchers; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			keys := make([]int, batchLen)
+			dst := make([]float64, batchLen)
+			for i := 0; i < batches; i++ {
+				for j := range keys {
+					keys[j] = (b*batches + i*batchLen + j) % 1024
+				}
+				arr.GetBatch(keys, dst)
+				for j, k := range keys {
+					if dst[j] != float64(k) {
+						t.Errorf("GetBatch key %d = %g", k, dst[j])
+						return
+					}
+				}
+			}
+		}(b)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -28,8 +52,8 @@ func TestConcurrentStoreParallelGets(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if cs.Retrievals() != workers*reads {
-		t.Fatalf("Retrievals = %d, want %d", cs.Retrievals(), workers*reads)
+	if want := int64(workers*reads + batchers*batches*batchLen); cs.Retrievals() != want {
+		t.Fatalf("Retrievals = %d, want %d", cs.Retrievals(), want)
 	}
 	cs.ResetStats()
 	if cs.Retrievals() != 0 {

@@ -5,13 +5,15 @@
 // coefficient (Section 1.3 of the paper). Every store counts retrievals so
 // that the experiments can report exactly the quantities the paper reports.
 //
-// Stores are not safe for concurrent use; the evaluation engine is
-// single-threaded, matching the paper's sequential retrieval model.
+// Stores are not safe for concurrent use, matching the paper's sequential
+// retrieval model, except where documented: ArrayStore and HashStore count
+// retrievals atomically, so their reads may run concurrently without writes.
 package storage
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Store provides random access to transform coefficients by flat key.
@@ -73,7 +75,7 @@ func IsEnumerable(s Store) bool {
 // check and an index — the paper's "array-based storage".
 type ArrayStore struct {
 	cells      []float64
-	retrievals int64
+	retrievals atomic.Int64
 }
 
 // NewArrayStore wraps the given dense coefficient array. The caller retains
@@ -84,7 +86,7 @@ func NewArrayStore(cells []float64) *ArrayStore {
 
 // Get implements Store.
 func (s *ArrayStore) Get(key int) float64 {
-	s.retrievals++
+	s.retrievals.Add(1)
 	if key < 0 || key >= len(s.cells) {
 		panic(fmt.Sprintf("storage: key %d out of range [0,%d)", key, len(s.cells)))
 	}
@@ -100,10 +102,10 @@ func (s *ArrayStore) Add(key int, delta float64) {
 }
 
 // Retrievals implements Store.
-func (s *ArrayStore) Retrievals() int64 { return s.retrievals }
+func (s *ArrayStore) Retrievals() int64 { return s.retrievals.Load() }
 
 // ResetStats implements Store.
-func (s *ArrayStore) ResetStats() { s.retrievals = 0 }
+func (s *ArrayStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store.
 func (s *ArrayStore) NonzeroCount() int {
@@ -135,7 +137,7 @@ func (s *ArrayStore) ForEachNonzero(fn func(key int, value float64) bool) {
 // the domain.
 type HashStore struct {
 	cells      map[int]float64
-	retrievals int64
+	retrievals atomic.Int64
 }
 
 // NewHashStore returns an empty hash store.
@@ -157,7 +159,7 @@ func NewHashStoreFromDense(cells []float64, tol float64) *HashStore {
 
 // Get implements Store.
 func (s *HashStore) Get(key int) float64 {
-	s.retrievals++
+	s.retrievals.Add(1)
 	return s.cells[key]
 }
 
@@ -171,10 +173,10 @@ func (s *HashStore) Add(key int, delta float64) {
 }
 
 // Retrievals implements Store.
-func (s *HashStore) Retrievals() int64 { return s.retrievals }
+func (s *HashStore) Retrievals() int64 { return s.retrievals.Load() }
 
 // ResetStats implements Store.
-func (s *HashStore) ResetStats() { s.retrievals = 0 }
+func (s *HashStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store.
 func (s *HashStore) NonzeroCount() int { return len(s.cells) }
